@@ -1,8 +1,7 @@
 package spatialsim
 
 // Benchmarks regenerating every figure and in-text experiment of the paper
-// (see DESIGN.md for the experiment index E1-E9 and EXPERIMENTS.md for the
-// recorded paper-vs-measured comparison). The experiment drivers live in
+// (README.md's Experiments section lists them). The experiment drivers live in
 // internal/experiments; these benchmarks wrap them at a benchmark-friendly
 // scale plus micro-benchmarks for the individual operations the experiments
 // are composed of.

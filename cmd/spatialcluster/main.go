@@ -1,15 +1,16 @@
 // Command spatialcluster runs the distributed serving harness: an in-process
 // fleet of 2-3 serve.Store nodes (each with its own persist directory when
 // -data-dir is set — segment files are the replication unit) behind the
-// cluster coordinator, fronted by HTTP/JSON endpoints mirroring the
-// single-node spatialserver API.
+// cluster coordinator, fronted by the same HTTP/JSON front end as the
+// single-node spatialserver (internal/httpapi).
 //
 // Usage:
 //
 //	spatialcluster -addr :8090 -nodes 3 -replication 2 -elements 100000
 //	spatialcluster -data-dir /var/lib/spatialsim-cluster -hedge-after 20ms
 //
-// Endpoints (all under /v1):
+// Endpoints (see internal/httpapi for parameter shapes and the error
+// contract):
 //
 //	GET  /v1/range?minx=..&maxz=..      scatter/gather range (merged, ID order)
 //	GET  /v1/knn?x=&y=&z=&k=            scatter/gather k nearest
@@ -20,7 +21,12 @@
 //	POST /v1/nodes/kill?name=n0         failure drill: node unreachable
 //	POST /v1/nodes/revive?name=n0       bring it back
 //	GET  /v1/healthz                    liveness
-//	GET  /metrics                       spatial_cluster_* + per-node series
+//	GET  /metrics                       spatial_cluster_*, per-node and per-route series
+//
+// Replies carry the cluster epoch and fan-out accounting (fan_out, hedges,
+// failovers); ?trace=1 adds the span tree (cluster_fanout, node_query, ...),
+// every response carries X-Request-Id, and SIGINT/SIGTERM drain in-flight
+// requests before the fleet closes.
 //
 // Degradation contract: when every owner of some tile is unreachable, query
 // replies carry "degraded":true plus per-node error detail — correct but
@@ -29,20 +35,23 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"log/slog"
 	"net"
 	"net/http"
+	"net/url"
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"time"
 
 	"spatialsim/internal/cluster"
 	"spatialsim/internal/datagen"
 	"spatialsim/internal/geom"
+	"spatialsim/internal/httpapi"
 	"spatialsim/internal/index"
 	"spatialsim/internal/obs"
 	"spatialsim/internal/persist"
@@ -167,9 +176,40 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 	fmt.Fprintf(stdout, "spatialcluster: serving on %s\n", ln.Addr().String())
-	srv := &http.Server{Handler: newClusterHandler(co, nds, reg)}
-	if err := srv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		return err
+	logger := slog.New(slog.NewTextHandler(stdout, nil))
+	return httpapi.ServeUntilSignal(ln, newClusterHandler(co, nds, reg), drainBudget, logger, co.Close)
+}
+
+// drainBudget is how long in-flight requests get to finish after a shutdown
+// signal.
+const drainBudget = 5 * time.Second
+
+// newClusterHandler mounts the shared front end over the coordinator plus the
+// cluster routes: GET /v1/placement and the failure-drill admin surface. The
+// slow-query log stays off.
+func newClusterHandler(co *cluster.Coordinator, nodes []*cluster.Node, reg *obs.Registry) *httpapi.Server {
+	api := httpapi.New(httpapi.Cluster{Coordinator: co}, reg, nil, 0)
+	api.Handle("/v1/placement", func(w http.ResponseWriter, r *http.Request, q url.Values) {
+		httpapi.WriteJSON(w, map[string]any{"epoch": co.Epoch(), "tiles": co.Placement().Tiles()})
+	})
+	api.Handle("/v1/nodes/kill", httpapi.Post(nodeAdmin(nodes, (*cluster.Node).Kill)))
+	api.Handle("/v1/nodes/revive", httpapi.Post(nodeAdmin(nodes, (*cluster.Node).Revive)))
+	return api
+}
+
+// nodeAdmin is the failure-drill surface: POST /v1/nodes/kill?name=n0 makes a
+// node unreachable (queries fail over, swaps abort), revive brings it back.
+// Drills are how the CI smoke job proves degraded-but-correct serving.
+func nodeAdmin(nodes []*cluster.Node, act func(*cluster.Node)) httpapi.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request, q url.Values) {
+		name := q.Get("name")
+		for _, n := range nodes {
+			if n.Name() == name {
+				act(n)
+				httpapi.WriteJSON(w, map[string]any{"node": name, "down": n.Down()})
+				return
+			}
+		}
+		httpapi.Error(w, http.StatusNotFound, "not_found", "no node named "+strconv.Quote(name))
 	}
-	return nil
 }

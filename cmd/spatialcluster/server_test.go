@@ -17,7 +17,9 @@ import (
 
 	"spatialsim/internal/cluster"
 	"spatialsim/internal/geom"
+	"spatialsim/internal/httpapi"
 	"spatialsim/internal/index"
+	"spatialsim/internal/obs"
 	"spatialsim/internal/persist"
 	"spatialsim/internal/serve"
 )
@@ -45,7 +47,7 @@ func newTestFleet(t *testing.T, n, replication int, items []index.Item) (*cluste
 	if _, err := co.Bootstrap(items); err != nil {
 		t.Fatalf("Bootstrap: %v", err)
 	}
-	ts := httptest.NewServer(newClusterHandler(co, nodes, nil))
+	ts := httptest.NewServer(newClusterHandler(co, nodes, obs.NewRegistry()))
 	t.Cleanup(ts.Close)
 	return co, nodes, ts
 }
@@ -75,9 +77,9 @@ func getBody(t *testing.T, url string) (*http.Response, []byte) {
 	return resp, body
 }
 
-func decodeQuery(t *testing.T, body []byte) clusterQueryResponse {
+func decodeQuery(t *testing.T, body []byte) httpapi.QueryResponse {
 	t.Helper()
-	var qr clusterQueryResponse
+	var qr httpapi.QueryResponse
 	if err := json.Unmarshal(body, &qr); err != nil {
 		t.Fatalf("decode query response: %v\n%s", err, body)
 	}
@@ -136,7 +138,7 @@ func TestClusterHTTPRangeKNNJoin(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("join status %d: %s", resp.StatusCode, body)
 	}
-	var jr clusterJoinResponse
+	var jr httpapi.JoinResponse
 	if err := json.Unmarshal(body, &jr); err != nil {
 		t.Fatalf("decode join: %v", err)
 	}
@@ -163,7 +165,7 @@ func TestClusterHTTPUpdatePublishesNewEpoch(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("update status %d: %s", resp.StatusCode, body)
 	}
-	var ur updateResponse
+	var ur httpapi.UpdateResponse
 	if err := json.Unmarshal(body, &ur); err != nil {
 		t.Fatalf("decode update: %v", err)
 	}
@@ -289,33 +291,32 @@ func TestClusterHTTPReplicasAbsorbKill(t *testing.T) {
 	}
 }
 
+// TestClusterHTTPBadRequests pins the cluster's route table: the deleted
+// unversioned aliases and /v1/query answer 404, the admin routes reject GET.
+// Parameter validation is the shared front end's and lives in
+// internal/httpapi's contract test.
 func TestClusterHTTPBadRequests(t *testing.T) {
 	_, _, ts := newTestFleet(t, 2, 1, fleetItems(50))
 	for _, tc := range []struct {
 		url  string
 		want int
 	}{
-		{"/v1/range?minx=nope", http.StatusBadRequest},
-		{"/v1/range?" + universeQuery + "&timeout=0s", http.StatusBadRequest},
-		{"/v1/range?" + universeQuery + "&timeout=300m", http.StatusBadRequest},
-		{"/v1/knn?x=1&y=2&z=3&k=0", http.StatusBadRequest},
-		{"/v1/join?eps=-1", http.StatusBadRequest},
-		{"/v1/update", http.StatusMethodNotAllowed}, // GET
+		{"/range?" + universeQuery, http.StatusNotFound},
+		{"/knn?x=1&y=2&z=3", http.StatusNotFound},
+		{"/healthz", http.StatusNotFound},
+		{"/v1/query?op=range&" + universeQuery, http.StatusNotFound},
+		{"/v1/update", http.StatusMethodNotAllowed},
+		{"/v1/nodes/kill?name=n0", http.StatusMethodNotAllowed},
+		{"/v1/nodes/revive?name=n0", http.StatusMethodNotAllowed},
 	} {
 		resp, body := getBody(t, ts.URL+tc.url)
 		if resp.StatusCode != tc.want {
 			t.Errorf("%s: status %d, want %d; %s", tc.url, resp.StatusCode, tc.want, body)
 		}
-		var env errorEnvelope
+		var env httpapi.ErrorEnvelope
 		if err := json.Unmarshal(body, &env); err != nil || env.Error.Code == "" {
 			t.Errorf("%s: not an error envelope: %s", tc.url, body)
 		}
-	}
-
-	// A deadline the scatter cannot meet answers 504.
-	resp, body := getBody(t, ts.URL+"/v1/range?"+universeQuery+"&timeout=1ns")
-	if resp.StatusCode != http.StatusGatewayTimeout {
-		t.Fatalf("1ns timeout: status %d, want 504; %s", resp.StatusCode, body)
 	}
 }
 

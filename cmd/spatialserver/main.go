@@ -16,9 +16,17 @@
 //	spatialserver -index grid -max-inflight 256
 //	spatialserver -data-dir /var/lib/spatialsim -elements 0
 //
-// Endpoints: GET /range, GET /knn, GET /join, POST /update, POST /snapshot,
-// GET /recovery, GET /stats, GET /healthz (see newHandler for parameter
-// shapes).
+// Endpoints (see internal/httpapi for parameter shapes and the error
+// contract):
+//
+//	GET  /v1/range, /v1/knn, /v1/join   queries
+//	POST /v1/update                     update batch, swaps in a new epoch
+//	POST /v1/snapshot                   force a durable snapshot of the current epoch
+//	GET  /v1/recovery                   what the store recovered on boot (durable mode)
+//	GET  /v1/stats, /v1/healthz, /metrics
+//
+// ?plan=1 on a query adds the store's plan report (index family, join
+// algorithm, cache hit, shard fan-out).
 //
 // The server degrades gracefully under pressure: -deadline/-join-deadline set
 // per-class query deadlines (tightened per request with ?timeout=),
@@ -35,7 +43,7 @@
 //     deadline expiries, degraded replies, breaker trips, fault injections),
 //     cache and epoch lifecycle series, per-route HTTP series and Go runtime
 //     gauges;
-//   - ?trace=1 on any /v1 query or update endpoint adds a "trace" span tree
+//   - ?trace=1 on any /v1 query or update route adds a "trace" span tree
 //     to the reply — admission, planner decision, cache lookup, per-shard
 //     fan-out with instrument counter deltas, merge, WAL append and freeze;
 //   - -debug-addr starts a second listener serving /debug/pprof and /metrics
@@ -47,21 +55,22 @@
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"log/slog"
 	"net"
 	"net/http"
+	"net/http/pprof"
+	"net/url"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"spatialsim/internal/crtree"
 	"spatialsim/internal/datagen"
 	"spatialsim/internal/geom"
+	"spatialsim/internal/httpapi"
 	"spatialsim/internal/index"
 	"spatialsim/internal/obs"
 	"spatialsim/internal/persist"
@@ -77,9 +86,9 @@ func main() {
 	}
 }
 
-// run builds the store from flags and serves until the listener fails. The
-// ready callback seam (none in production) keeps it testable; tests exercise
-// newHandler directly instead of binding a port.
+// run builds the store from flags and serves until the listener fails or a
+// shutdown signal drains it; tests exercise newHandler directly instead of
+// binding a port.
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("spatialserver", flag.ContinueOnError)
 	fs.SetOutput(stdout)
@@ -105,7 +114,7 @@ func run(args []string, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	logger := newLogger(stdout)
+	logger := slog.New(slog.NewTextHandler(stdout, nil))
 
 	reg := obs.NewRegistry()
 	obs.RegisterRuntimeGauges(reg)
@@ -190,51 +199,40 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 	logger.Info("serving", "index", *indexName, "addr", ln.Addr().String(),
-		"endpoints", "/v1/{range,knn,join,query,update,snapshot,recovery,stats,healthz} /metrics")
-	so := newServerObs(reg, logger, *slowQuery)
-	return serveHandlerUntilSignal(store, newHandlerObs(store, so), ln, *drain, stdout)
+		"endpoints", "/v1/{range,knn,join,update,snapshot,recovery,stats,healthz} /metrics")
+	return httpapi.ServeUntilSignal(ln, newHandler(store, reg, logger, *slowQuery), *drain, logger, store.Close)
 }
 
-// serveUntilSignal serves until the listener fails or a SIGINT/SIGTERM
-// arrives, then shuts down gracefully: the listener stops accepting,
-// in-flight requests get the drain budget to finish (then are cut), and the
-// store is closed — which, in durable mode, takes the final snapshot that
-// makes the shutdown recoverable without WAL replay.
-func serveUntilSignal(store *serve.Store, ln net.Listener, drain time.Duration, stdout io.Writer) error {
-	return serveHandlerUntilSignal(store, newHandler(store), ln, drain, stdout)
-}
-
-// serveHandlerUntilSignal is serveUntilSignal with a caller-built handler
-// (run wires the observability hooks in; tests use the plain one).
-func serveHandlerUntilSignal(store *serve.Store, handler http.Handler, ln net.Listener, drain time.Duration, stdout io.Writer) error {
-	logger := newLogger(stdout)
-	srv := &http.Server{Handler: handler}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve(ln) }()
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	select {
-	case err := <-serveErr:
-		if err != nil && !errors.Is(err, http.ErrServerClosed) {
-			return err
+// newHandler mounts the shared front end over store plus the single-node
+// routes: POST /v1/snapshot and GET /v1/recovery.
+func newHandler(store *serve.Store, reg *obs.Registry, logger *slog.Logger, slowQuery time.Duration) *httpapi.Server {
+	api := httpapi.New(httpapi.Store{Store: store}, reg, logger, slowQuery)
+	api.Handle("/v1/snapshot", httpapi.Post(func(w http.ResponseWriter, r *http.Request, q url.Values) {
+		epoch, err := store.Snapshot()
+		if err != nil {
+			httpapi.Error(w, http.StatusConflict, "conflict", err.Error())
+			return
 		}
-		return nil
-	case <-ctx.Done():
-	}
-	stop() // restore default signal handling: a second signal kills hard
-	logger.Info("shutdown signal received, draining", "budget", drain)
+		httpapi.WriteJSON(w, map[string]uint64{"persisted_epoch": epoch})
+	}))
+	api.Handle("/v1/recovery", func(w http.ResponseWriter, r *http.Request, q url.Values) {
+		httpapi.WriteJSON(w, store.Recovery())
+	})
+	return api
+}
 
-	drainCtx, cancel := context.WithTimeout(context.Background(), drain)
-	defer cancel()
-	if err := srv.Shutdown(drainCtx); err != nil {
-		logger.Warn("drain budget exhausted, closing remaining connections", "err", err)
-		srv.Close()
-	}
-	store.Close()
-	logger.Info("graceful shutdown complete")
-	return nil
+// newDebugMux builds the -debug-addr surface: the pprof profile endpoints
+// plus a second /metrics exposition, kept off the serving listener so
+// profiling traffic cannot compete with queries for the serving port.
+func newDebugMux(reg *obs.Registry) *http.ServeMux {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	mux.HandleFunc("/metrics", httpapi.Metrics(reg))
+	return mux
 }
 
 func shardBuilder(name string) (serve.ShardBuilder, error) {

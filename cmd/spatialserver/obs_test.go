@@ -8,6 +8,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"log/slog"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -30,8 +31,7 @@ func newObsServer(t *testing.T, slow time.Duration) (string, *obs.Registry, *byt
 	}
 	seedStore(t, store, 100)
 	var logBuf bytes.Buffer
-	so := newServerObs(reg, newLogger(&logBuf), slow)
-	ts := httptest.NewServer(newHandlerObs(store, so))
+	ts := httptest.NewServer(newHandler(store, reg, slog.New(slog.NewTextHandler(&logBuf, nil)), slow))
 	t.Cleanup(func() {
 		ts.Close()
 		store.Close()

@@ -7,6 +7,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"log/slog"
 	"net"
 	"net/http"
 	"os"
@@ -19,15 +20,17 @@ import (
 
 	"spatialsim/internal/faultinject"
 	"spatialsim/internal/geom"
+	"spatialsim/internal/httpapi"
 	"spatialsim/internal/index"
+	"spatialsim/internal/obs"
 	"spatialsim/internal/persist"
 	"spatialsim/internal/serve"
 )
 
 // decodeError unpacks the uniform {"error":{"code","message"}} envelope.
-func decodeError(t *testing.T, body []byte) errorBody {
+func decodeError(t *testing.T, body []byte) httpapi.ErrorBody {
 	t.Helper()
-	var env errorEnvelope
+	var env httpapi.ErrorEnvelope
 	if err := json.Unmarshal(body, &env); err != nil {
 		t.Fatalf("error payload is not the envelope shape: %v\n%s", err, body)
 	}
@@ -152,7 +155,7 @@ func TestDegradedAnswers200WithDetail(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d, want 200; body %s", resp.StatusCode, body)
 	}
-	var qr queryResponse
+	var qr httpapi.QueryResponse
 	if err := json.Unmarshal(body, &qr); err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -175,7 +178,7 @@ func TestDegradedAnswers200WithDetail(t *testing.T) {
 	if strings.Contains(string(body), "degraded") || strings.Contains(string(body), "shard_errors") {
 		t.Fatalf("complete reply leaks degraded fields: %s", body)
 	}
-	var qr2 queryResponse
+	var qr2 httpapi.QueryResponse
 	if err := json.Unmarshal(body, &qr2); err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -189,7 +192,7 @@ func TestDegradedAnswers200WithDetail(t *testing.T) {
 // its final snapshot, and a reopened store recovers the served state.
 func TestServeUntilSignalGracefulShutdown(t *testing.T) {
 	// Keep SIGTERM non-fatal for the whole test process even if the signal
-	// lands before serveUntilSignal registers its handler.
+	// lands before ServeUntilSignal registers its handler.
 	guard := make(chan os.Signal, 1)
 	signal.Notify(guard, syscall.SIGTERM)
 	defer signal.Stop(guard)
@@ -215,7 +218,10 @@ func TestServeUntilSignalGracefulShutdown(t *testing.T) {
 	}
 	var out bytes.Buffer
 	done := make(chan error, 1)
-	go func() { done <- serveUntilSignal(store, ln, 2*time.Second, &out) }()
+	go func() {
+		logger := slog.New(slog.NewTextHandler(&out, nil))
+		done <- httpapi.ServeUntilSignal(ln, newHandler(store, obs.NewRegistry(), logger, 0), 2*time.Second, logger, store.Close)
+	}()
 
 	// Wait for the server to answer, proving the handler is live.
 	base := "http://" + ln.Addr().String()
@@ -232,7 +238,7 @@ func TestServeUntilSignalGracefulShutdown(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 
-	// Deliver SIGTERM until serveUntilSignal returns; re-sending covers the
+	// Deliver SIGTERM until ServeUntilSignal returns; re-sending covers the
 	// (tiny) window before its handler registration, and the guard above
 	// keeps extra signals from killing the process.
 	var serveErr error
@@ -247,12 +253,12 @@ waitShutdown:
 			break waitShutdown
 		case <-time.After(200 * time.Millisecond):
 			if time.Now().After(killDeadline) {
-				t.Fatal("serveUntilSignal did not return after SIGTERM")
+				t.Fatal("ServeUntilSignal did not return after SIGTERM")
 			}
 		}
 	}
 	if serveErr != nil {
-		t.Fatalf("serveUntilSignal returned %v after graceful shutdown", serveErr)
+		t.Fatalf("ServeUntilSignal returned %v after graceful shutdown", serveErr)
 	}
 	logs := out.String()
 	for _, want := range []string{"shutdown signal received", "graceful shutdown complete"} {

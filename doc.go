@@ -81,15 +81,16 @@
 //     (error, latency, torn-write) wired into the storage, persist and
 //     serve layers, powering the chaos soak (make chaos);
 //   - internal/experiments — drivers regenerating every figure and in-text
-//     experiment of the paper (see DESIGN.md and EXPERIMENTS.md).
+//     experiment of the paper (listed in README.md under Experiments).
 //
 // Executables: cmd/spatialbench (run any experiment, including the E12
 // serving load generator writing BENCH_PR3.json, the E13 join-scaling
 // experiment writing BENCH_PR4.json and the E14 planner-vs-static mixed
 // workload writing BENCH_PR6.json), cmd/simrun (run a full simulation with
 // a chosen index), cmd/benchjson (record the paired pointer-vs-compact
-// layout benchmarks in BENCH_*.json) and cmd/spatialserver (versioned
-// HTTP/JSON range, knn, join, update-batch and stats endpoints over
-// internal/serve — /v1/ routes with the legacy unversioned paths kept as
-// byte-identical aliases). Runnable examples are under examples/.
+// layout benchmarks in BENCH_*.json), cmd/spatialserver (/v1/ HTTP/JSON
+// range, knn, join, update-batch and stats routes over internal/serve) and
+// cmd/spatialcluster (the same routes over the internal/cluster
+// coordinator); both mount the one front end in internal/httpapi. Runnable
+// examples are under examples/.
 package spatialsim

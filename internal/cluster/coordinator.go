@@ -726,6 +726,19 @@ func (c *Coordinator) observeLat(t0 time.Time) {
 	}
 }
 
+// RetryAfterHint is the cluster's drain estimate for 503 responses: the
+// longest admission-queue estimate among its in-process nodes' stores, and
+// serve's 1s floor when no node is in-process.
+func (c *Coordinator) RetryAfterHint() time.Duration {
+	hint := time.Second
+	for _, tr := range c.nodes {
+		if n, ok := tr.(*Node); ok {
+			hint = max(hint, n.Store().RetryAfterHint())
+		}
+	}
+	return hint
+}
+
 // NodeStats is the per-node slice of a cluster Stats snapshot.
 type NodeStats struct {
 	Name string `json:"name"`

@@ -8,8 +8,7 @@
 // with a human-readable String method; cmd/spatialbench prints them and the
 // root-level benchmarks call them inside testing.B loops. Scales default to
 // laptop-sized datasets — the paper's absolute numbers used 200 M elements on
-// a disk array, but the relative shapes (which DESIGN.md documents per
-// experiment) are what the drivers reproduce.
+// a disk array, but the relative shapes are what the drivers reproduce.
 package experiments
 
 import (
