@@ -220,3 +220,23 @@ func TestJoinEndpoint(t *testing.T) {
 		t.Fatalf("stats joins=%d, want 3", st.Joins)
 	}
 }
+
+func TestJoinEndpointBadRequests(t *testing.T) {
+	_, ts := testServer(t, 10)
+	for _, path := range []string{
+		"/v1/join",                  // missing eps
+		"/v1/join?eps=-1",           // negative eps
+		"/v1/join?eps=abc",          // non-numeric eps
+		"/v1/join?eps=0&algo=bogus", // unknown algorithm
+		"/v1/join?eps=0&limit=0",    // limit out of range
+	} {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("GET %s: status %d, want 400", path, resp.StatusCode)
+		}
+	}
+}

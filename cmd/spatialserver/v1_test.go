@@ -1,9 +1,10 @@
 package main
 
-// Opt-in plan reporting on the store's /v1 routes, and the shared test
-// helpers.
+// The error envelope, request ids and opt-in plan reporting on the store's
+// /v1 routes, and the shared test helpers.
 
 import (
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -53,6 +54,74 @@ func getResp(t *testing.T, url string) (*http.Response, []byte) {
 		t.Fatalf("GET %s: read: %v", url, err)
 	}
 	return resp, body
+}
+
+func TestErrorEnvelopeShape(t *testing.T) {
+	_, ts := testServer(t, 10)
+	cases := []struct {
+		path     string
+		status   int
+		code     string
+		fragment string
+	}{
+		{"/v1/range?minx=bad", http.StatusBadRequest, "bad_request", "minx..maxz"},
+		{"/v1/knn?x=1&y=1&z=1&k=0", http.StatusBadRequest, "bad_request", "k out of range"},
+		{"/v1/join?eps=abc", http.StatusBadRequest, "bad_request", "eps"},
+		{"/v1/query?op=teleport", http.StatusNotFound, "not_found", "no route /v1/query"},
+	}
+	for _, tc := range cases {
+		resp, body := getResp(t, ts.URL+tc.path)
+		if resp.StatusCode != tc.status {
+			t.Errorf("%s: status %d, want %d", tc.path, resp.StatusCode, tc.status)
+		}
+		var env httpapi.ErrorEnvelope
+		if err := json.Unmarshal(body, &env); err != nil {
+			t.Fatalf("%s: error body is not the envelope: %v (%s)", tc.path, err, body)
+		}
+		if env.Error.Code != tc.code {
+			t.Errorf("%s: code %q, want %q", tc.path, env.Error.Code, tc.code)
+		}
+		if !strings.Contains(env.Error.Message, tc.fragment) {
+			t.Errorf("%s: message %q missing %q", tc.path, env.Error.Message, tc.fragment)
+		}
+	}
+
+	// POST-only endpoints reject GET with the envelope as well.
+	resp, body := getResp(t, ts.URL+"/v1/update")
+	var env httpapi.ErrorEnvelope
+	if resp.StatusCode != http.StatusMethodNotAllowed || json.Unmarshal(body, &env) != nil ||
+		env.Error.Code != "method_not_allowed" {
+		t.Fatalf("GET /v1/update: %d %s", resp.StatusCode, body)
+	}
+}
+
+func TestRequestIDs(t *testing.T) {
+	_, ts := testServer(t, 10)
+
+	resp, _ := getResp(t, ts.URL+"/v1/healthz")
+	gen := resp.Header.Get("X-Request-Id")
+	if gen == "" {
+		t.Fatal("response missing generated X-Request-Id")
+	}
+	resp2, _ := getResp(t, ts.URL+"/v1/healthz")
+	if resp2.Header.Get("X-Request-Id") == gen {
+		t.Fatal("generated request ids must be unique per request")
+	}
+
+	// A client-provided id is echoed back, on served routes and on the
+	// not-found answer alike.
+	for _, path := range []string{"/v1/stats", "/stats"} {
+		req, _ := http.NewRequest(http.MethodGet, ts.URL+path, nil)
+		req.Header.Set("X-Request-Id", "client-abc")
+		echo, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		echo.Body.Close()
+		if got := echo.Header.Get("X-Request-Id"); got != "client-abc" {
+			t.Fatalf("%s: echoed id %q, want client-abc", path, got)
+		}
+	}
 }
 
 func TestPlanReportingOptIn(t *testing.T) {
