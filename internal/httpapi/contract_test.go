@@ -253,8 +253,21 @@ var checks = []struct {
 			}
 		}
 		walk(rep.Trace)
-		if !stages[f.stage] {
-			t.Errorf("trace missing %q (got %v)", f.stage, stages)
+		for _, want := range []string{f.stage, "parse", "encode"} {
+			if !stages[want] {
+				t.Errorf("trace missing %q (got %v)", want, stages)
+			}
+		}
+	}},
+	{"content_length", func(t *testing.T, f fixture) {
+		// Every item: a body past net/http's 2 KiB chunking threshold.
+		resp, body := get(t, f.url+"/v1/range?minx=-1&miny=-1&minz=-1&maxx=20&maxy=20&maxz=2")
+		if resp.StatusCode != http.StatusOK || len(body) <= 2<<10 {
+			t.Fatalf("status %d, %d-byte body: want 200 over 2 KiB", resp.StatusCode, len(body))
+		}
+		if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
+			t.Fatalf("Content-Length %d, Transfer-Encoding %v for a %d-byte body: want the length, not chunked",
+				resp.ContentLength, resp.TransferEncoding, len(body))
 		}
 	}},
 	{"deadline_504", func(t *testing.T, f fixture) {

@@ -6,11 +6,14 @@ package serve
 // bounded cache map, and retirement drops the whole map in one pointer write.
 // Identical queries racing on a cold entry coalesce — the first requester
 // executes, the rest block on the entry's done channel and share the result.
+// A clean entry also carries a write-once Encoding slot, so a front end
+// formats each cached result once per epoch instead of once per hit.
 
 import (
 	"encoding/binary"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"spatialsim/internal/geom"
 	"spatialsim/internal/index"
@@ -21,10 +24,40 @@ import (
 // evicted or dropped mid-flight still completes for everyone waiting on it.
 // failed marks an abandoned entry: the owner's execution was cancelled or
 // degraded, so items must not be trusted — waiters re-execute for themselves.
+// enc is the front end's encoding of items, set at most once.
 type cacheEntry struct {
 	done   chan struct{}
 	failed bool
 	items  []index.Item
+	enc    Encoding
+}
+
+// Encoding is a write-once slot holding a front end's serialized form of one
+// cached result. Reply.Encoding points at it when the reply's Items are
+// exactly a clean cache entry's result, so the first request that encodes
+// the items can store the bytes and every later hit splices them instead of
+// formatting the same coordinates again. An epoch is immutable, so the
+// bytes never need invalidating; they are dropped with the epoch's cache.
+type Encoding struct {
+	b atomic.Pointer[[]byte]
+}
+
+// Load returns the stored encoding, or nil before the first Store or on a
+// nil slot.
+func (e *Encoding) Load() []byte {
+	if e == nil {
+		return nil
+	}
+	if p := e.b.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+// Store publishes b unless an encoding is already stored: the first store
+// wins, so every reader sees the same bytes. b must not be modified after.
+func (e *Encoding) Store(b []byte) {
+	e.b.CompareAndSwap(nil, &b)
 }
 
 // epochCache is the bounded per-epoch result map. Eviction is FIFO over the
@@ -77,6 +110,16 @@ func (c *epochCache) lookup(key []byte) (e *cacheEntry, owner bool) {
 func (e *cacheEntry) fill(items []index.Item) {
 	e.items = items
 	close(e.done)
+}
+
+// slot returns the entry's encoding slot for a reply whose Items are the
+// entry's items appended to buf. Only an empty buf makes the two equal, so
+// any other buf gets no slot.
+func (e *cacheEntry) slot(buf []index.Item) *Encoding {
+	if len(buf) > 0 {
+		return nil
+	}
+	return &e.enc
 }
 
 // abandon releases waiters without publishing a result: the owner's query was

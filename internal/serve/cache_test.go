@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"spatialsim/internal/faultinject"
 	"spatialsim/internal/geom"
 	"spatialsim/internal/index"
 )
@@ -177,5 +178,53 @@ func TestStreamingRangeBypassesCache(t *testing.T) {
 	}
 	if len(r.Items) != 100 {
 		t.Fatalf("got %d items, want 100 — truncated streaming result leaked into the cache", len(r.Items))
+	}
+}
+
+// The encoding slot stands for exactly one clean cached result: a reply
+// carries it only when its Items are that result, and each query key and
+// each epoch has its own.
+func TestEncodingSlotOnlyOnCleanCachedReplies(t *testing.T) {
+	s := mustNew(t, Config{Shards: 4, Workers: 2, CacheEntries: 16})
+	defer s.Close()
+	s.Bootstrap(genItems(400, 0))
+	q := geom.NewAABB(geom.V(-1, -1, -1), geom.V(40, 40, 8))
+	p := geom.V(5, 5, 0)
+
+	miss := s.Query(Request{Op: OpRange, Query: q})
+	hit := s.Query(Request{Op: OpRange, Query: q})
+	if miss.Encoding == nil || hit.Encoding != miss.Encoding || !hit.Plan.CacheHit {
+		t.Fatalf("miss and hit must share the entry's slot: %p %p", miss.Encoding, hit.Encoding)
+	}
+	if r := s.Query(Request{Op: OpRange, Query: q, Buf: make([]index.Item, 1)}); r.Encoding != nil {
+		t.Fatal("a reply extending a non-empty Buf carries the slot")
+	}
+	if r := s.Query(Request{Op: OpRange, Query: q, NoCache: true}); r.Encoding != nil {
+		t.Fatal("an uncached reply carries a slot")
+	}
+	k3, k5 := s.Query(Request{Op: OpKNN, Point: p, K: 3}), s.Query(Request{Op: OpKNN, Point: p, K: 5})
+	if k3.Encoding == nil || k5.Encoding == nil || k3.Encoding == k5.Encoding {
+		t.Fatalf("kNN k=3 and k=5 need their own slots: %p %p", k3.Encoding, k5.Encoding)
+	}
+
+	degradedQ := geom.NewAABB(geom.V(-2, -2, -2), geom.V(40, 40, 8))
+	armShardFault(t, faultinject.Spec{ErrRate: 1, Count: 1})
+	if r := s.Query(Request{Op: OpRange, Query: degradedQ}); !r.Degraded || r.Encoding != nil {
+		t.Fatalf("degraded=%v slot=%p: a degraded reply must carry no slot", r.Degraded, r.Encoding)
+	}
+	faultinject.Reset()
+	if r := s.Query(Request{Op: OpRange, Query: degradedQ}); r.Degraded || r.Plan.CacheHit || r.Encoding == nil {
+		t.Fatalf("after the fault: degraded=%v hit=%v slot=%p, want a fresh clean entry", r.Degraded, r.Plan.CacheHit, r.Encoding)
+	}
+
+	miss.Encoding.Store([]byte("epoch 1"))
+	miss.Encoding.Store([]byte("second store"))
+	if got := string(hit.Encoding.Load()); got != "epoch 1" {
+		t.Fatalf("slot holds %q: the first store must win", got)
+	}
+	s.Apply(genUpdates(400, 1))
+	next := s.Query(Request{Op: OpRange, Query: q})
+	if next.Encoding == nil || next.Encoding == miss.Encoding || next.Encoding.Load() != nil {
+		t.Fatal("a new epoch must start with its own empty slot")
 	}
 }

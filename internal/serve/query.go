@@ -179,6 +179,10 @@ type Reply struct {
 	Epoch uint64
 	// Items holds materialized OpRange/OpKNN results (req.Buf extended).
 	Items []index.Item
+	// Encoding is the write-once encoding slot of the clean cache entry
+	// Items came from or were just filled into, or nil: the reply was not
+	// cached, was degraded, or extended a non-empty req.Buf.
+	Encoding *Encoding `json:"-"`
 	// Batch holds per-query results of the batch ops.
 	Batch [][]index.Item
 	// Pairs, JoinAlgo, JoinItems and JoinStats hold the OpJoin outcome.
@@ -381,6 +385,7 @@ func (s *Store) queryRange(ctx context.Context, e *Epoch, req Request) Reply {
 				return s.rangeUncached(ctx, e, req, rep, fam, start)
 			}
 			rep.Items = append(req.Buf, entry.items...)
+			rep.Encoding = entry.slot(req.Buf)
 			rep.Plan.CacheHit = true
 			rep.Plan.FanOut, _ = e.planRange(req.Query)
 			s.queries.Add(1)
@@ -401,6 +406,7 @@ func (s *Store) queryRange(ctx context.Context, e *Epoch, req Request) Reply {
 		if entry != nil {
 			if out.clean() {
 				entry.fill(priv)
+				rep.Encoding = entry.slot(req.Buf)
 			} else {
 				// Never let a partial result become a cache hit.
 				c.remove(key[:])
@@ -486,6 +492,7 @@ func (s *Store) queryKNN(ctx context.Context, e *Epoch, req Request) Reply {
 				return s.knnUncached(ctx, e, req, rep, fam, start)
 			}
 			rep.Items = append(req.Buf, entry.items...)
+			rep.Encoding = entry.slot(req.Buf)
 			rep.Plan.CacheHit = true
 			rep.Plan.FanOut, _ = e.planAll()
 			s.queries.Add(1)
@@ -501,6 +508,7 @@ func (s *Store) queryKNN(ctx context.Context, e *Epoch, req Request) Reply {
 		if entry != nil {
 			if out.clean() {
 				entry.fill(priv)
+				rep.Encoding = entry.slot(req.Buf)
 			} else {
 				c.remove(key[:])
 				entry.abandon()
